@@ -98,64 +98,6 @@ func BenchmarkMinMemoryDynamic(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationDay measures a full simulated day of the dynamic
-// scheme on one disk at moderate load — the unit of all Section 5
-// simulation experiments.
-func BenchmarkSimulationDay(b *testing.B) {
-	spec, cr, _ := vod.PaperEnvironment()
-	lib, err := vod.NewLibrary(vod.LibraryConfig{Titles: 6, Disks: 1, Spec: spec, PopularityTheta: 0.271})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := vod.GenerateWorkload(vod.ZipfDaySchedule(350, 1, vod.Hours(9), vod.Hours(24)), lib, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := vod.Simulate(vod.SimConfig{
-			Scheme: vod.Dynamic, Method: vod.NewMethod(vod.RoundRobin),
-			Spec: spec, CR: cr, Library: lib, Trace: tr, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Served == 0 {
-			b.Fatal("nothing served")
-		}
-	}
-}
-
-// BenchmarkDaySimulation runs the full allocator x method matrix, one
-// simulated day per iteration — the end-to-end measure of the engine hot
-// path under every scheduling method the paper evaluates. The custom
-// sim-days/sec metric is the throughput the experiment harness sees.
-func BenchmarkDaySimulation(b *testing.B) {
-	spec, cr, _ := vod.PaperEnvironment()
-	lib, err := vod.NewLibrary(vod.LibraryConfig{Titles: 6, Disks: 1, Spec: spec, PopularityTheta: 0.271})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := vod.GenerateWorkload(vod.ZipfDaySchedule(350, 1, vod.Hours(9), vod.Hours(24)), lib, 1)
-	for _, scheme := range []vod.Scheme{vod.Static, vod.Dynamic} {
-		for _, kind := range []vod.MethodKind{vod.RoundRobin, vod.Sweep, vod.GSS} {
-			b.Run(scheme.String()+"/"+kind.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := vod.Simulate(vod.SimConfig{
-						Scheme: scheme, Method: vod.NewMethod(kind),
-						Spec: spec, CR: cr, Library: lib, Trace: tr, Seed: int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Served == 0 {
-						b.Fatal("nothing served")
-					}
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim-days/sec")
-			})
-		}
-	}
-}
-
 // BenchmarkWorkloadGeneration measures drawing one day's Poisson trace.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	spec, _, _ := vod.PaperEnvironment()

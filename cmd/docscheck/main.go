@@ -1,12 +1,15 @@
 // Command docscheck is the repository's documentation gate (`make
-// docs-check`). It enforces two invariants CI can hold without network
-// access:
+// docs-check`). It enforces three invariants CI can hold without
+// network access:
 //
 //   - every relative link in the maintained markdown files resolves to
 //     a file or directory in the tree (external http(s) links and pure
 //     in-page #fragments are not followed);
-//   - README.md's architecture inventory names every package under
-//     internal/ and cmd/ — a new package cannot land undocumented.
+//   - every internal/X, cmd/X or examples/X directory those files name
+//     exists — deleting a package cannot leave docs pointing at it;
+//   - README.md's architecture inventory names every directory under
+//     internal/, cmd/ and examples/ — a new package cannot land
+//     undocumented.
 //
 // The retrieved source artifacts (PAPER.md, PAPERS.md, SNIPPETS.md,
 // ISSUE.md) are excluded: they are inputs to the project, not
@@ -31,6 +34,23 @@ var skippedDocs = map[string]bool{
 	"ISSUE.md":    true,
 }
 
+// historyDocs may name directories that do not exist: the change log
+// records deleted packages and the roadmap plans new ones. Their links
+// are still checked.
+var historyDocs = map[string]bool{
+	"CHANGES.md": true,
+	"ROADMAP.md": true,
+}
+
+// inventoryTrees are the top-level directories whose subdirectories the
+// docs name as packages.
+var inventoryTrees = []string{"internal", "cmd", "examples"}
+
+// pathRE matches a named package directory under an inventory tree
+// (internal/X, cmd/X, examples/X) not glued to a longer name, so module
+// paths like repro/internal/sim count while subcmd/x does not.
+var pathRE = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.-])((?:` + strings.Join(inventoryTrees, "|") + `)/[A-Za-z0-9_-]+)`)
+
 // linkRE matches inline markdown links and images: [text](target) and
 // ![alt](target). Good enough for the prose style these docs use; code
 // spans that happen to contain the pattern would have to look exactly
@@ -44,7 +64,7 @@ func main() {
 // run checks the tree rooted at root and reports problems to w,
 // returning 0 when the docs are clean and 1 otherwise.
 func run(root string, w io.Writer) int {
-	problems := checkLinks(root)
+	problems := checkDocs(root)
 	problems = append(problems, checkInventory(root)...)
 	for _, p := range problems {
 		fmt.Fprintln(w, p)
@@ -57,9 +77,9 @@ func run(root string, w io.Writer) int {
 	return 0
 }
 
-// checkLinks resolves every relative link in the maintained markdown
-// files against the tree.
-func checkLinks(root string) []string {
+// checkDocs resolves every relative link and named package directory in
+// the maintained markdown files against the tree.
+func checkDocs(root string) []string {
 	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -79,6 +99,10 @@ func checkLinks(root string) []string {
 		if err != nil {
 			return err
 		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			rel = path
+		}
 		for _, m := range linkRE.FindAllStringSubmatch(string(data), -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
@@ -90,11 +114,15 @@ func checkLinks(root string) []string {
 			target, _, _ = strings.Cut(target, "#")
 			resolved := filepath.Join(filepath.Dir(path), target)
 			if _, err := os.Stat(resolved); err != nil {
-				rel, rerr := filepath.Rel(root, path)
-				if rerr != nil {
-					rel = path
-				}
 				problems = append(problems, fmt.Sprintf("%s: broken link %q", rel, m[1]))
+			}
+		}
+		if historyDocs[rel] {
+			return nil
+		}
+		for _, m := range pathRE.FindAllStringSubmatch(string(data), -1) {
+			if fi, err := os.Stat(filepath.Join(root, m[1])); err != nil || !fi.IsDir() {
+				problems = append(problems, fmt.Sprintf("%s: names %s, which does not exist", rel, m[1]))
 			}
 		}
 		return nil
@@ -106,7 +134,7 @@ func checkLinks(root string) []string {
 }
 
 // checkInventory verifies README.md mentions every package directory
-// under internal/ and cmd/, in either spelled-out ("internal/engine")
+// under the inventory trees, in either spelled-out ("internal/engine")
 // or architecture-tree ("engine/") form.
 func checkInventory(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "README.md"))
@@ -115,7 +143,7 @@ func checkInventory(root string) []string {
 	}
 	readme := string(data)
 	var problems []string
-	for _, tree := range []string{"internal", "cmd"} {
+	for _, tree := range inventoryTrees {
 		entries, err := os.ReadDir(filepath.Join(root, tree))
 		if err != nil {
 			if os.IsNotExist(err) {

@@ -51,15 +51,49 @@ func TestMissingPackageFails(t *testing.T) {
 	write(t, dir, "README.md", "only internal/engine is documented\n")
 	write(t, dir, "internal/engine/engine.go", "package engine\n")
 	write(t, dir, "internal/orphan/orphan.go", "package orphan\n")
+	write(t, dir, "examples/stray/main.go", "package main\n")
 	var out bytes.Buffer
 	if code := run(dir, &out); code != 1 {
 		t.Fatalf("exit %d with an undocumented package, want 1", code)
 	}
-	if !strings.Contains(out.String(), "internal/orphan") {
-		t.Errorf("problem does not name the orphan package:\n%s", out.String())
+	for _, orphan := range []string{"internal/orphan", "examples/stray"} {
+		if !strings.Contains(out.String(), "package "+orphan+" missing") {
+			t.Errorf("problem does not name the orphan package %s:\n%s", orphan, out.String())
+		}
 	}
 	if strings.Contains(out.String(), "internal/engine missing") {
 		t.Errorf("documented package reported missing:\n%s", out.String())
+	}
+}
+
+// A maintained doc naming a package directory that no longer exists
+// fails the gate, in prose and module-path form alike; the change log
+// and the roadmap may name deleted or planned ones.
+func TestStalePackagePathFails(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "internal/engine drives it; see `examples/gone`.\n")
+	write(t, dir, "DESIGN.md", "imports repro/internal/vanished and ./cmd/tool\n")
+	write(t, dir, "CHANGES.md", "deleted examples/gone\n")
+	write(t, dir, "ROADMAP.md", "add an internal/planned package\n")
+	write(t, dir, "internal/engine/engine.go", "package engine\n")
+	write(t, dir, "cmd/tool/main.go", "package main\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with stale package paths, want 1", code)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"README.md: names examples/gone",
+		"DESIGN.md: names internal/vanished",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("problem %q not reported:\n%s", want, got)
+		}
+	}
+	for _, bad := range []string{"internal/engine,", "cmd/tool,", "CHANGES.md", "ROADMAP.md"} {
+		if strings.Contains(got, bad) {
+			t.Errorf("%q reported, but it exists or is exempt:\n%s", bad, got)
+		}
 	}
 }
 

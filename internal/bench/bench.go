@@ -328,8 +328,7 @@ func wallContentionCases() []Case {
 	}
 }
 
-// dayCases builds the end-to-end allocator x method day-simulation matrix
-// (the same grid BenchmarkDaySimulation runs under go test).
+// dayCases builds the end-to-end allocator x method day-simulation matrix.
 func dayCases() []Case {
 	type cell struct {
 		name   string

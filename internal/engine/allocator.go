@@ -34,23 +34,15 @@ type Allocator interface {
 // (Section 2.3): correct at any load, maximally wasteful below full load.
 type StaticAllocator struct{}
 
-// Size returns BS(N) regardless of load — each rate's own full-load size
-// when streams carry per-rate contexts.
+// Size returns BS(N) at the stream's own rate regardless of load.
 func (StaticAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
-	if st.ctx != nil {
-		return st.ctx.staticSize
-	}
-	return d.sys.staticSize
+	return st.ctx.staticSize
 }
 
-// PlanSize returns BS(N): static planning assumes the worst everywhere
-// (in multi-rate mode, the widest full-load size among the rates in
-// service).
+// PlanSize returns BS(N): static planning assumes the worst everywhere —
+// the widest full-load size among the rates in service.
 func (StaticAllocator) PlanSize(d *Disk, n int) si.Bits {
-	if d.sys.multi != nil {
-		return d.planOverLive(func(c *rateCtx) si.Bits { return c.staticSize })
-	}
-	return d.sys.staticSize
+	return d.planOverLive(func(c *rateCtx) si.Bits { return c.staticSize })
 }
 
 // Admit always accepts; the capacity bound N is enforced upstream.
@@ -67,7 +59,7 @@ type DynamicAllocator struct{}
 // estimate for prediction-success scoring.
 func (DynamicAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
 	kc := d.Estimate(n)
-	size := d.sizeForStream(st, n, kc)
+	size := st.ctx.table.Size(d.effLoad(st.ctx, n), kc)
 	d.book.Set(st.id, core.Allocation{N: n, K: kc})
 	if d.budget != nil {
 		// Churn-safe enforcement: this fill opens a fresh k_i admission
@@ -103,14 +95,10 @@ func (DynamicAllocator) PlanSize(d *Disk, n int) si.Bits {
 			}
 		}
 	}
-	if d.sys.multi != nil {
-		// Multi-rate: the widest size among the rates in service, each
-		// at the disk's bandwidth-equivalent load — conservative for
-		// every stream the coming round may actually service.
-		kk := k
-		return d.planOverLive(func(c *rateCtx) si.Bits { return c.table.Size(d.effLoad(c), kk) })
-	}
-	return d.sys.sizeFor(d, n, k)
+	// The widest size among the rates in service, each at the disk's
+	// bandwidth-equivalent load floored at n — conservative for every
+	// stream the coming round may actually service.
+	return d.planOverLive(func(c *rateCtx) si.Bits { return c.table.Size(d.effLoad(c, n), k) })
 }
 
 // Admit applies the Fig. 5 enforcement rule: an arrival may enter only
@@ -132,23 +120,15 @@ type NaiveAllocator struct{}
 // stream sized now is not protected against arrivals sized later.
 func (NaiveAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
 	kc := d.Estimate(n)
-	var size si.Bits
-	if st.ctx == nil {
-		size = d.sys.naiveSizeFor(n, kc)
-	} else {
-		size = d.sys.naiveTabFor(st.ctx).Size(d.effLoad(st.ctx), kc)
-	}
+	size := d.sys.naiveTabFor(st.ctx).Size(d.effLoad(st.ctx, n), kc)
 	d.recordEstimate(size, kc)
 	return size
 }
 
 // PlanSize mirrors Size for sweep planning.
 func (NaiveAllocator) PlanSize(d *Disk, n int) si.Bits {
-	if d.sys.multi != nil {
-		k := d.Estimate(n)
-		return d.planOverLive(func(c *rateCtx) si.Bits { return d.sys.naiveTabFor(c).Size(d.effLoad(c), k) })
-	}
-	return d.sys.naiveSizeFor(n, d.Estimate(n))
+	k := d.Estimate(n)
+	return d.planOverLive(func(c *rateCtx) si.Bits { return d.sys.naiveTabFor(c).Size(d.effLoad(c, n), k) })
 }
 
 // Admit always accepts — the absent enforcement is the point.
@@ -164,23 +144,15 @@ type DybaseAllocator struct{}
 // Size evaluates the DYBASE recurrence at (n, kc).
 func (DybaseAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
 	kc := d.Estimate(n)
-	var size si.Bits
-	if st.ctx == nil {
-		size = d.sys.dybaseSizeFor(n, kc)
-	} else {
-		size = d.sys.dybaseTabFor(st.ctx).Size(d.effLoad(st.ctx), kc)
-	}
+	size := d.sys.dybaseTabFor(st.ctx).Size(d.effLoad(st.ctx, n), kc)
 	d.recordEstimate(size, kc)
 	return size
 }
 
 // PlanSize mirrors Size for sweep planning.
 func (DybaseAllocator) PlanSize(d *Disk, n int) si.Bits {
-	if d.sys.multi != nil {
-		k := d.Estimate(n)
-		return d.planOverLive(func(c *rateCtx) si.Bits { return d.sys.dybaseTabFor(c).Size(d.effLoad(c), k) })
-	}
-	return d.sys.dybaseSizeFor(n, d.Estimate(n))
+	k := d.Estimate(n)
+	return d.planOverLive(func(c *rateCtx) si.Bits { return d.sys.dybaseTabFor(c).Size(d.effLoad(c, n), k) })
 }
 
 // Admit always accepts: DYBASE has no runtime enforcement.
@@ -189,8 +161,8 @@ func (DybaseAllocator) Admit(d *Disk, n int) bool { return true }
 // KneeAllocator is the memory-knee-aware fourth scheme (ROADMAP item 3):
 // the dynamic scheme's sizing and enforcement with admission capped near
 // the Theorem 1 memory knee — by default half the disk's stream capacity
-// and, in multi-rate mode, half its transfer rate — so the disk never
-// climbs the steep half of the memory curve. It trades peak concurrency
+// and half its transfer rate — so the disk never climbs the steep half
+// of the memory curve. It trades peak concurrency
 // for per-stream buffers an order of magnitude smaller near the cap, and
 // pairs naturally with downgrading admission: capped capacity converts
 // into lower rungs instead of rejections.
@@ -198,8 +170,8 @@ type KneeAllocator struct {
 	DynamicAllocator
 
 	// Fraction positions the cap: admissions stop at Fraction·N committed
-	// streams (and Fraction·TR committed bandwidth in multi-rate mode).
-	// <= 0 means the knee default 0.5; values above 1 are clamped to 1.
+	// streams and Fraction·TR committed bandwidth. <= 0 means the knee
+	// default 0.5; values above 1 are clamped to 1.
 	Fraction float64
 }
 

@@ -19,10 +19,10 @@ type Stream struct {
 	id          int
 	req         workload.Request
 	place       catalog.Placement
-	rate        si.BitRate // consumption rate (== cfg.CR in uniform mode)
+	rate        si.BitRate // consumption rate (== ctx.rate)
 	want        si.BitRate // rung the viewer requested — adaptation's up-switch ceiling
 	booked      si.BitRate // rate held in the committed-bandwidth book (never shrinks mid-stream)
-	ctx         *rateCtx   // per-rate sizing context; nil in uniform mode
+	ctx         *rateCtx   // the current rate's sizing context
 	nAtArrival  int        // requests in service at its arrival (Fig. 11's x-axis)
 	required    si.Bits    // total data the user will consume: rate · viewing
 	delivered   si.Bits    // data read from disk so far
@@ -114,7 +114,7 @@ func completeCB(arg any) { st := arg.(*Stream); st.disk.completeService(st) }
 // dynamic scheme's enforcement, or simply for the next service slot).
 type queued struct {
 	req        workload.Request
-	rate       si.BitRate // resolved consumption rate (ladder rung or CR)
+	ctx        *rateCtx   // resolved rate's sizing context (ladder rung or CR)
 	want       si.BitRate // rung requested before any downgrade (adaptation ceiling)
 	nAtArrival int
 }
@@ -152,15 +152,14 @@ type Disk struct {
 	est  *core.Estimator
 
 	// Committed (in-service + queued) and in-service consumption
-	// bandwidth — the multi-rate admission and bandwidth-equivalent
-	// sizing signals, maintained in uniform mode too (where they are
-	// simply committed()·CR and n()·CR).
+	// bandwidth — the admission and bandwidth-equivalent sizing signals
+	// (for a uniform-rate config simply committed()·CR and n()·CR).
 	committedRate si.BitRate
 	serviceRate   si.BitRate
 
 	// rateLive counts in-service streams per rate context (indexed by
-	// rateCtx.idx); nil in uniform mode. Worst-case planning bounds over
-	// the contexts with live streams only.
+	// rateCtx.idx). Worst-case planning bounds over the contexts with
+	// live streams only.
 	rateLive []int
 
 	// admits counts streams that entered service over the disk's
@@ -249,15 +248,13 @@ func newDisk(sys *System, id int) *Disk {
 	if sys.cfg.ChurnSafeAdmission {
 		d.budget = core.NewBook()
 	}
-	if len(sys.ctxs) > 0 {
-		d.rateLive = make([]int, len(sys.ctxs))
-	}
+	d.rateLive = make([]int, len(sys.ctxs))
 	if sys.cfg.UnderrunTolerance > 0 {
 		d.pool.SetUnderrunTolerance(sys.cfg.UnderrunTolerance)
 	}
 	// A sane initial period guess: the usage period of the smallest
 	// dynamic buffer. Updated at every allocation.
-	d.lastPeriod = sys.params.UsagePeriod(sys.sizeFor(d, 1, sys.params.Alpha))
+	d.lastPeriod = sys.params.UsagePeriod(sys.ctxs[0].table.Size(1, sys.params.Alpha))
 	if sys.cfg.NewScheduler != nil {
 		d.sched = sys.cfg.NewScheduler(d)
 	} else {
@@ -335,35 +332,31 @@ func (d *Disk) onArrival(req workload.Request) {
 		rate = d.sys.cfg.CR
 	}
 	want := rate
-	if d.sys.multi == nil {
-		if d.committed() >= d.sys.admitCap {
+	c := d.sys.ctxFor(rate)
+	if c == nil || !d.fitsRate(rate) {
+		// Predicted shortfall at the requested rung, or a rate the system
+		// has no sizing context for: walk the title's ladder downward
+		// (arXiv:1604.00894's downgrading allocation) before giving up.
+		c = d.downgrade(req, rate, now)
+		if c == nil {
 			d.sys.obs.OnReject(d.id, req, RejectCapacity, now)
 			return
 		}
-	} else if !d.fitsRate(rate) {
-		// Predicted shortfall at the requested rung: walk the title's
-		// ladder downward (arXiv:1604.00894's downgrading allocation)
-		// before giving up.
-		rate = d.downgrade(req, rate, now)
-		if rate <= 0 {
-			d.sys.obs.OnReject(d.id, req, RejectCapacity, now)
-			return
-		}
-		req.Rate = rate
+		req.Rate = c.rate
 	}
 	if g := d.sys.gate; g != nil && !g.TryAdmit(d) {
 		d.sys.obs.OnReject(d.id, req, RejectMemory, now)
 		return
 	}
 	d.estArrivals.push(now)
-	d.queue = append(d.queue, queued{req: req, rate: rate, want: want, nAtArrival: d.n()})
-	d.committedRate += rate
+	d.queue = append(d.queue, queued{req: req, ctx: c, want: want, nAtArrival: d.n()})
+	d.committedRate += c.rate
 	d.dispatch()
 }
 
 // fitsRate reports whether one more committed stream at rate r keeps the
 // disk inside both its count capacity and its committed-bandwidth
-// capacity — the multi-rate generalization of N·CR < TR.
+// capacity — the per-stream-rate generalization of N·CR < TR.
 func (d *Disk) fitsRate(r si.BitRate) bool {
 	if d.committed() >= d.sys.admitCap {
 		return false
@@ -385,23 +378,23 @@ func (d *Disk) snapCommittedRate() {
 }
 
 // downgrade walks req's title ladder below the requested rung and
-// returns the first rate the disk can take, or 0 when downgrading is off
-// or no rung fits. Only rungs the system has sizing contexts for are
-// considered.
-func (d *Disk) downgrade(req workload.Request, from si.BitRate, now si.Seconds) si.BitRate {
+// returns the sizing context of the first rung the disk can take, or nil
+// when downgrading is off or no rung fits. Only rungs the system has
+// sizing contexts for are considered.
+func (d *Disk) downgrade(req workload.Request, from si.BitRate, now si.Seconds) *rateCtx {
 	if !d.sys.cfg.Downgrade {
-		return 0
+		return nil
 	}
 	for _, rung := range d.sys.cfg.Library.Video(req.Video).Rungs() {
-		if rung >= from || d.sys.ctxFor(rung) == nil {
+		if rung >= from {
 			continue
 		}
-		if d.fitsRate(rung) {
+		if c := d.sys.ctxFor(rung); c != nil && d.fitsRate(rung) {
 			d.sys.obs.OnDowngrade(d.id, req, from, rung, now)
-			return rung
+			return c
 		}
 	}
-	return 0
+	return nil
 }
 
 // Cancel withdraws a request by ID, whether it is still queued for
@@ -414,7 +407,7 @@ func (d *Disk) downgrade(req workload.Request, from si.BitRate, now si.Seconds) 
 func (d *Disk) Cancel(id int) bool {
 	for i := d.qhead; i < len(d.queue); i++ {
 		if d.queue[i].req.ID == id {
-			d.committedRate -= d.queue[i].rate
+			d.committedRate -= d.queue[i].ctx.rate
 			d.queue = append(d.queue[:i], d.queue[i+1:]...)
 			if d.qhead == len(d.queue) {
 				d.queue, d.qhead = d.queue[:0], 0
@@ -508,17 +501,18 @@ func (d *Disk) admitFromQueue() {
 		if !ok {
 			place = d.sys.cfg.Library.Placement(q.req.Video)
 		}
+		rate := q.ctx.rate
 		st := &Stream{
 			disk:       d,
 			id:         q.req.ID,
 			req:        q.req,
 			place:      place,
-			rate:       q.rate,
+			rate:       rate,
 			want:       q.want,
-			booked:     q.rate,
-			ctx:        d.sys.ctxFor(q.rate),
+			booked:     rate,
+			ctx:        q.ctx,
 			nAtArrival: q.nAtArrival,
-			required:   maxBits(q.rate.DataIn(q.req.Viewing), 1),
+			required:   maxBits(rate.DataIn(q.req.Viewing), 1),
 			deadline:   d.now(), // fresh: due immediately
 			firstFill:  -1,
 			admittedAt: d.now(),
@@ -529,11 +523,9 @@ func (d *Disk) admitFromQueue() {
 		}
 		d.streams = append(d.streams, st)
 		d.fresh = append(d.fresh, st)
-		d.serviceRate += q.rate
-		if st.ctx != nil {
-			d.rateLive[st.ctx.idx]++
-		}
-		d.pool.Attach(st.id, q.rate, d.now())
+		d.serviceRate += rate
+		d.rateLive[st.ctx.idx]++
+		d.pool.Attach(st.id, rate, d.now())
 		d.sched.Admit(st)
 		d.sys.obs.OnAdmit(d.id, st, d.now())
 	}
@@ -550,9 +542,7 @@ func (d *Disk) removeStream(st *Stream) {
 	st.departT = Timer{}
 	d.serviceRate -= st.rate
 	d.committedRate -= st.booked
-	if st.ctx != nil {
-		d.rateLive[st.ctx.idx]--
-	}
+	d.rateLive[st.ctx.idx]--
 	d.dlRemove(st)
 	d.pool.Detach(st.id, d.now())
 	d.book.Remove(st.id)
@@ -823,41 +813,25 @@ func (d *Disk) countArrivals(lo, hi si.Seconds) int {
 // the consumption bandwidth (ceil(serviceRate/rate) rate-c streams move
 // the same bits), but its seek-and-rotation work scales with the stream
 // COUNT, which a bandwidth quotient undercounts whenever the mix skews
-// below c. The equivalent load is therefore the larger of the two,
-// clamped into the ctx table's [1, N]; for a uniform mix they coincide
-// and the quotient alone is exact. Undersizing the high rungs in a
-// low-skewed mix is not hypothetical: the buffers the inertia book
-// snapshots would cover fewer services than the round actually contains,
-// admission quietly over-commits, and the schedule erodes into underruns
-// — the regime mid-stream down-switching (AdaptConfig) steers into.
-func (d *Disk) effLoad(c *rateCtx) int {
-	n := int(math.Ceil(float64(d.serviceRate) / float64(c.rate)))
-	if live := len(d.streams); n < live {
-		n = live
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > c.params.N {
-		n = c.params.N
-	}
-	return n
-}
-
-// sizeForStream evaluates the dynamic sizing table for st at prediction
-// k: the system table at load n in uniform mode, st's own rate context
-// at the disk's bandwidth-equivalent load otherwise.
-func (d *Disk) sizeForStream(st *Stream, n, k int) si.Bits {
-	if st.ctx == nil {
-		return d.sys.sizeFor(d, n, k)
-	}
-	return st.ctx.table.Size(d.effLoad(st.ctx), k)
+// below c. The equivalent load is therefore the larger of the two, and
+// never below the caller's load n — the allocator's own n, raised by
+// ramp-aware planning to the admission window's load — clamped into the
+// ctx table's [1, N]. For a uniform-rate config the quotient, the count
+// and n coincide, so this is the paper's table.Size(n, k) row exactly.
+// Undersizing the high rungs in a low-skewed mix is not hypothetical: the
+// buffers the inertia book snapshots would cover fewer services than the
+// round actually contains, admission quietly over-commits, and the
+// schedule erodes into underruns — the regime mid-stream down-switching
+// (AdaptConfig) steers into.
+func (d *Disk) effLoad(c *rateCtx, n int) int {
+	e := max(int(math.Ceil(float64(d.serviceRate)/float64(c.rate))), len(d.streams), n, 1)
+	return min(e, c.params.N)
 }
 
 // planOverLive bounds a per-rate plan quantity over the rate contexts
 // with streams currently in service, each evaluated at the disk's
-// bandwidth-equivalent load; an idle disk plans with the base rate. Only
-// meaningful in multi-rate mode. Bounding over live rates — not every
+// bandwidth-equivalent load; an idle disk plans with the base rate.
+// Bounding over live rates — not every
 // configured one — matters: a slow rung evaluated near its own capacity
 // knee would inflate every worst-case service estimate and wreck the
 // schedule for the streams that actually exist.

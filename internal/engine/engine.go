@@ -73,13 +73,16 @@ type Config struct {
 	// and the paper's single global rate.
 	CR si.BitRate
 
-	// Rates lists the additional per-stream consumption rates the system
-	// must be able to serve: the union of the library's ladder rungs.
-	// Each rate gets its own memoized sizing tables (DeriveN, Theorem 1
-	// recurrence, Eq. 5, DYBASE) built at construction. Duplicates and
-	// rates equal to CR are dropped; an empty normalized set leaves the
-	// engine in the paper's uniform-rate mode, which runs exactly the
-	// single-rate code paths — the oracle tests pin this.
+	// Rates lists the per-stream consumption rates the system must be
+	// able to serve besides CR: the union of the library's ladder rungs.
+	// Each distinct rate gets its own sizing context — derived N,
+	// memoized Theorem 1, Eq. 5 and DYBASE tables — built at
+	// construction, with CR's context first. Duplicates and rates equal
+	// to CR collapse away, so nil, [CR] and [CR, CR] all build the one
+	// context that is the paper's uniform-rate regime: a one-rung ladder
+	// on the same sizing path every ladder takes. An arrival at a rate
+	// outside CR and Rates has no context to be sized from: it is
+	// stepped down its title's ladder under Downgrade, else rejected.
 	Rates []si.BitRate
 
 	// Downgrade enables downgrading admission (arXiv:1604.00894): an
@@ -188,52 +191,42 @@ type Config struct {
 // System is a group of disks sharing one clock domain, allocator, and
 // parameter set — the runtime a driver feeds requests into.
 type System struct {
-	cfg        Config
-	domain     ClockDomain
-	obs        Observer
-	gate       Gate
-	params     core.Params
-	table      *core.Table
-	naiveOnce  sync.Once
-	naiveTab   *core.Table // lazily memoized Eq. 5 sizes (naive scheme)
-	dybaseOnce sync.Once
-	dybaseTab  *core.Table // lazily memoized DYBASE recurrence sizes
-	staticSize si.Bits
-	disks      []*Disk
+	cfg    Config
+	domain ClockDomain
+	obs    Observer
+	gate   Gate
+	params core.Params // the base rate's parameters (ctxs[0].params)
+	disks  []*Disk
 
-	// multi holds one sizing context per distinct stream rate (including
-	// CR) when Config.Rates normalizes non-empty; nil in uniform mode,
-	// where streams carry no context and every sizing decision takes the
-	// legacy single-rate path above.
-	multi map[si.BitRate]*rateCtx
-	// ctxs lists the same contexts in construction order (base CR first);
-	// rateCtx.idx indexes it, as does each disk's live-stream counter.
-	// Worst-case planning walks it, bounding over the rates actually in
-	// service rather than the widest configured rate — a hypothetical
-	// slow-rate stream near its own capacity knee would otherwise inflate
-	// every plan and wreck the schedule for the streams that exist.
-	ctxs    []*rateCtx
-	planCtx *rateCtx // widest-buffer context: layout checks (planStatic)
+	// ctxs holds one sizing context per distinct stream rate in
+	// construction order, the base CR first; rateCtx.idx indexes it, as
+	// does each disk's live-stream counter. A uniform-rate config is the
+	// one-context case. Worst-case planning walks it, bounding over the
+	// rates actually in service rather than the widest configured rate —
+	// a hypothetical slow-rate stream near its own capacity knee would
+	// otherwise inflate every plan and wreck the schedule for the streams
+	// that exist.
+	ctxs []*rateCtx
 
 	// adapt is the normalized mid-stream adaptation policy; nil when
 	// adaptation is off, in which case no switching code runs at all.
 	adapt *AdaptConfig
 
 	// admitCap is the committed-stream count capacity arrivals are
-	// rejected at: N in uniform mode, DeriveN at the smallest rate in
-	// multi-rate mode, lowered by a capping allocator (KneeAllocator).
+	// rejected at: DeriveN at the smallest configured rate (N itself for
+	// a uniform config), lowered by a capping allocator (KneeAllocator).
 	admitCap int
-	// bwCap is the committed consumption-bandwidth capacity of a disk in
-	// multi-rate mode (Σ rates must stay strictly below it, generalizing
-	// N·CR < TR): the transfer rate, lowered by a capping allocator.
+	// bwCap is the committed consumption-bandwidth capacity of a disk
+	// (Σ rates must stay strictly below it, generalizing N·CR < TR): the
+	// transfer rate, lowered by a capping allocator.
 	bwCap si.BitRate
 }
 
 // rateCtx is one consumption rate's sizing context: its derived
 // parameters (own N = DeriveN(TR, rate)) and the per-scheme memoized
-// sizing tables, mirroring the System's single-rate fields. The naive
-// and DYBASE tables are built lazily under a Once because disks on
-// different shards of a multi-shard clock domain race to trigger them.
+// sizing tables. The naive and DYBASE tables are built lazily under a
+// Once because disks on different shards of a multi-shard clock domain
+// race to trigger them.
 type rateCtx struct {
 	idx        int // position in System.ctxs; indexes Disk.rateLive
 	rate       si.BitRate
@@ -244,6 +237,42 @@ type rateCtx struct {
 	dybaseOnce sync.Once
 	dybaseTab  *core.Table
 	staticSize si.Bits
+}
+
+// newRateCtx derives rate's sizing parameters and full-load size, and
+// builds its dynamic sizing table — or adopts shared, after checking it
+// was built for exactly these parameters and latency model.
+func newRateCtx(cfg Config, idx int, rate si.BitRate, shared *core.Table) (*rateCtx, error) {
+	p := core.Params{
+		TR:    cfg.Spec.TransferRate,
+		CR:    rate,
+		N:     core.DeriveN(cfg.Spec.TransferRate, rate),
+		Alpha: cfg.Alpha,
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	c := &rateCtx{
+		idx:        idx,
+		rate:       rate,
+		params:     p,
+		staticSize: p.StaticSize(cfg.Method.WorstDL(cfg.Spec, p.N), p.N),
+	}
+	if shared == nil {
+		c.table = core.NewTable(p, cfg.Method.DLModel(cfg.Spec))
+		return c, nil
+	}
+	if shared.Params() != p {
+		return nil, fmt.Errorf("engine: shared sizing table built for %+v, config derives %+v", shared.Params(), p)
+	}
+	// The parameters don't capture the latency model; probe the
+	// full-load boundary, which every correctly built table pins to the
+	// method's worst disk latency at N.
+	if got := shared.Size(p.N, 0); got != c.staticSize {
+		return nil, fmt.Errorf("engine: shared sizing table full-load size %v, method/spec derive %v", got, c.staticSize)
+	}
+	c.table = shared
+	return c, nil
 }
 
 // New builds a System: derives the sizing parameters from the disk and
@@ -282,86 +311,32 @@ func New(cfg Config) (*System, error) {
 	if sys.obs == nil {
 		sys.obs = NopObserver{}
 	}
-	sys.params = core.Params{
-		TR:    cfg.Spec.TransferRate,
-		CR:    cfg.CR,
-		N:     core.DeriveN(cfg.Spec.TransferRate, cfg.CR),
-		Alpha: cfg.Alpha,
-	}
-	if err := sys.params.Validate(); err != nil {
+	base, err := newRateCtx(cfg, 0, cfg.CR, cfg.SizeTable)
+	if err != nil {
 		return nil, err
 	}
-	sys.staticSize = sys.params.StaticSize(cfg.Method.WorstDL(cfg.Spec, sys.params.N), sys.params.N)
-	if cfg.SizeTable != nil {
-		if cfg.SizeTable.Params() != sys.params {
-			return nil, fmt.Errorf("engine: shared sizing table built for %+v, config derives %+v",
-				cfg.SizeTable.Params(), sys.params)
-		}
-		// The parameters don't capture the latency model; probe the
-		// full-load boundary, which every correctly built table pins to
-		// the method's worst disk latency at N.
-		if got := cfg.SizeTable.Size(sys.params.N, 0); got != sys.staticSize {
-			return nil, fmt.Errorf("engine: shared sizing table full-load size %v, method/spec derive %v",
-				got, sys.staticSize)
-		}
-		sys.table = cfg.SizeTable
-	} else {
-		sys.table = core.NewTable(sys.params, cfg.Method.DLModel(cfg.Spec))
-	}
-	// Normalize the per-stream rate set: duplicates and rates equal to
-	// the base CR collapse away. An empty normalized set is the paper's
-	// single-rate regime — uniform mode, where streams carry no rate
-	// context and run exactly the legacy code paths.
-	var extra []si.BitRate
+	sys.params = base.params
+	sys.ctxs = []*rateCtx{base}
+	// maxStatic is the largest full-load buffer any stream may ever be
+	// allocated — the bound the chunked-layout check below needs.
+	minRate, maxStatic := cfg.CR, base.staticSize
 	for _, r := range cfg.Rates {
-		dup := r == cfg.CR
-		for _, e := range extra {
-			dup = dup || e == r
+		if sys.ctxFor(r) != nil {
+			continue // duplicates and the base CR collapse away
 		}
-		if !dup {
-			extra = append(extra, r)
+		c, err := newRateCtx(cfg, len(sys.ctxs), r, nil)
+		if err != nil {
+			return nil, fmt.Errorf("engine: rate %v: %w", r, err)
 		}
+		sys.ctxs = append(sys.ctxs, c)
+		minRate = min(minRate, r)
+		maxStatic = max(maxStatic, c.staticSize)
 	}
-	sys.admitCap, sys.bwCap = sys.params.N, cfg.Spec.TransferRate
-	if len(extra) > 0 {
-		sys.multi = make(map[si.BitRate]*rateCtx, len(extra)+1)
-		base := &rateCtx{rate: cfg.CR, params: sys.params, table: sys.table, staticSize: sys.staticSize}
-		sys.multi[cfg.CR] = base
-		sys.ctxs = append(sys.ctxs, base)
-		sys.planCtx = base
-		minRate := cfg.CR
-		for _, r := range extra {
-			p := core.Params{
-				TR:    cfg.Spec.TransferRate,
-				CR:    r,
-				N:     core.DeriveN(cfg.Spec.TransferRate, r),
-				Alpha: cfg.Alpha,
-			}
-			if err := p.Validate(); err != nil {
-				return nil, fmt.Errorf("engine: rate %v: %w", r, err)
-			}
-			c := &rateCtx{
-				idx:        len(sys.ctxs),
-				rate:       r,
-				params:     p,
-				table:      core.NewTable(p, cfg.Method.DLModel(cfg.Spec)),
-				staticSize: p.StaticSize(cfg.Method.WorstDL(cfg.Spec, p.N), p.N),
-			}
-			sys.multi[r] = c
-			sys.ctxs = append(sys.ctxs, c)
-			if c.staticSize > sys.planCtx.staticSize {
-				sys.planCtx = c
-			}
-			if r < minRate {
-				minRate = r
-			}
-		}
-		// The smallest rate admits the most concurrent streams; its N is
-		// the count any sizing table can back.
-		sys.admitCap = core.DeriveN(cfg.Spec.TransferRate, minRate)
-	}
+	// The smallest rate admits the most concurrent streams; its N is the
+	// count any sizing table can back.
+	sys.admitCap, sys.bwCap = core.DeriveN(cfg.Spec.TransferRate, minRate), cfg.Spec.TransferRate
 	if cfg.Adapt != nil {
-		if sys.multi == nil {
+		if len(sys.ctxs) == 1 {
 			return nil, fmt.Errorf("engine: Adapt requires a multi-rate ladder (Config.Rates); a uniform-rate system has no rungs to switch across")
 		}
 		a, err := cfg.Adapt.withDefaults()
@@ -377,9 +352,9 @@ func New(cfg Config) (*System, error) {
 	// A chunked library must be able to serve the largest buffer the
 	// server will ever allocate from a single chunk. Contiguous
 	// placements impose no bound: fills are clamped inside the video.
-	if maxRead := cfg.Library.ChunkedMaxRead(); maxRead < sys.planStatic() {
+	if maxRead := cfg.Library.ChunkedMaxRead(); maxRead < maxStatic {
 		return nil, fmt.Errorf("engine: library chunked max read %v below the largest buffer %v — rebuild the library with a larger MaxRead",
-			maxRead, sys.planStatic())
+			maxRead, maxStatic)
 	}
 	for d := 0; d < cfg.Library.Disks(); d++ {
 		sys.disks = append(sys.disks, newDisk(sys, d))
@@ -387,23 +362,15 @@ func New(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// planStatic is the largest full-load buffer any stream may ever be
-// allocated — the conservative bound layout checks and static planning
-// use. In uniform mode it is BS(N) exactly.
-func (sys *System) planStatic() si.Bits {
-	if sys.multi != nil {
-		return sys.planCtx.staticSize
-	}
-	return sys.staticSize
-}
-
-// ctxFor returns the sizing context for a stream rate, or nil in uniform
-// mode (where every stream runs at CR on the legacy single-rate fields).
+// ctxFor returns the sizing context for a stream rate, or nil when the
+// system was not configured to serve that rate.
 func (sys *System) ctxFor(rate si.BitRate) *rateCtx {
-	if sys.multi == nil {
-		return nil
+	for _, c := range sys.ctxs {
+		if c.rate == rate {
+			return c
+		}
 	}
-	return sys.multi[rate]
+	return nil
 }
 
 // AdmitCap reports the committed-stream count capacity of each disk.
@@ -433,12 +400,6 @@ func (sys *System) Clock() ClockDomain { return sys.domain }
 // Params returns the sizing parameters (TR, CR, N, alpha).
 func (sys *System) Params() core.Params { return sys.params }
 
-// StaticSize returns the full-load buffer size BS(N).
-func (sys *System) StaticSize() si.Bits { return sys.staticSize }
-
-// Table returns the precomputed dynamic sizing table.
-func (sys *System) Table() *core.Table { return sys.table }
-
 // Disks reports the number of disks.
 func (sys *System) Disks() int { return len(sys.disks) }
 
@@ -452,35 +413,9 @@ func (sys *System) OnArrival(req workload.Request) {
 	sys.disks[req.Disk].onArrival(req)
 }
 
-// sizeFor returns the dynamic buffer size for a disk at load (n, k).
-// The receiver disk is unused today (all disks share one table) but
-// keeps the call sites ready for per-disk heterogeneity.
-func (sys *System) sizeFor(_ *Disk, n, k int) si.Bits { return sys.table.Size(n, k) }
-
-// naiveSizeFor evaluates the naive scheme's Eq. 5 at n+k with the
-// method's current-load disk latency, memoized per (n, k) on first use.
-// The build is guarded by a Once because disks on different shards of a
-// multi-shard clock domain race to trigger it.
-func (sys *System) naiveSizeFor(n, k int) si.Bits {
-	sys.naiveOnce.Do(func() {
-		sys.naiveTab = core.NewTableWith(sys.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.NaiveSize)
-	})
-	return sys.naiveTab.Size(n, k)
-}
-
-// dybaseSizeFor evaluates the DYBASE recurrence at (n, k) with the
-// method's current-load disk latency. The recurrence chain is walked
-// once per (n, k) — the table memoizes it, as §3.3 prescribes for the
-// dynamic scheme — instead of on every fill.
-func (sys *System) dybaseSizeFor(n, k int) si.Bits {
-	sys.dybaseOnce.Do(func() {
-		sys.dybaseTab = core.NewTableWith(sys.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.DybaseSize)
-	})
-	return sys.dybaseTab.Size(n, k)
-}
-
-// naiveTabFor memoizes a rate context's Eq. 5 table, the per-rate analog
-// of naiveSizeFor.
+// naiveTabFor memoizes a rate context's Eq. 5 table: the naive scheme's
+// Eq. 5 at n+k with the method's current-load disk latency, built on
+// first use.
 func (sys *System) naiveTabFor(c *rateCtx) *core.Table {
 	c.naiveOnce.Do(func() {
 		c.naiveTab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.NaiveSize)
@@ -488,8 +423,9 @@ func (sys *System) naiveTabFor(c *rateCtx) *core.Table {
 	return c.naiveTab
 }
 
-// dybaseTabFor memoizes a rate context's DYBASE table, the per-rate
-// analog of dybaseSizeFor.
+// dybaseTabFor memoizes a rate context's DYBASE table: the recurrence
+// chain is walked once per (n, k) — the table memoizes it, as §3.3
+// prescribes for the dynamic scheme — instead of on every fill.
 func (sys *System) dybaseTabFor(c *rateCtx) *core.Table {
 	c.dybaseOnce.Do(func() {
 		c.dybaseTab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.DybaseSize)

@@ -38,7 +38,7 @@ func (a *admitAuditor) OnReject(disk int, req workload.Request, reason RejectRea
 		if rung > want {
 			continue // downgrading never steps a viewer up
 		}
-		if a.sys.multi != nil && a.sys.ctxFor(rung) == nil {
+		if a.sys.ctxFor(rung) == nil {
 			continue // no sizing tables for this rung
 		}
 		if !a.sys.cfg.Downgrade && rung != want {

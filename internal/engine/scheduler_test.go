@@ -35,15 +35,20 @@ func harness(t *testing.T, kind sched.Kind, alloc Allocator) *Disk {
 	return sys.Disk(0)
 }
 
-// addStream admits a synthetic stream directly, maintaining the same
-// per-disk indexes (slot, fresh FIFO) real admission would.
+// addStream admits a synthetic stream directly at the base rate,
+// maintaining the same per-disk indexes (slot, fresh FIFO, live-rate
+// counters) real admission would.
 func addStream(t *testing.T, d *Disk, id int, viewing si.Seconds) *Stream {
 	t.Helper()
 	d.admitSeq++
+	ctx := d.sys.ctxs[0]
 	st := &Stream{
 		disk:     d,
 		id:       id,
 		place:    d.sys.cfg.Library.Placement(id % d.sys.cfg.Library.Len()),
+		rate:     ctx.rate,
+		booked:   ctx.rate,
+		ctx:      ctx,
 		required: d.sys.cfg.CR.DataIn(viewing),
 		deadline: d.now(),
 		slot:     len(d.streams),
@@ -52,6 +57,8 @@ func addStream(t *testing.T, d *Disk, id int, viewing si.Seconds) *Stream {
 	}
 	d.streams = append(d.streams, st)
 	d.fresh = append(d.fresh, st)
+	d.serviceRate += ctx.rate
+	d.rateLive[ctx.idx]++
 	d.pool.Attach(st.id, d.sys.cfg.CR, d.now())
 	d.sched.Admit(st)
 	return st
@@ -99,7 +106,7 @@ func TestRRSchedulerUrgentRefillBeatsFresh(t *testing.T) {
 func TestRRSchedulerLazyWakeTime(t *testing.T) {
 	d := harness(t, sched.RoundRobin, StaticAllocator{})
 	st := addStream(t, d, 1, si.Minutes(60))
-	d.pool.BeginFill(st.id, d.sys.staticSize, 0)
+	d.pool.BeginFill(st.id, st.ctx.staticSize, 0)
 	d.pool.CompleteFill(st.id, 0)
 	markStarted(d, st, d.pool.EmptyAt(st.id))
 	next, start := d.sched.Next(0)

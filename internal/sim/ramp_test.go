@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/sched"
@@ -24,12 +25,27 @@ import (
 // with the flag the sizing guarantee must hold for every seed, and
 // without it at least one seed must still show the deficit (if the
 // ramp stops reproducing the gap, the test has decayed and needs a
-// harder ramp, not a green checkmark).
+// harder ramp, not a green checkmark). It runs twice: on the paper's
+// uniform-rate library, and on a library whose titles carry the
+// 1.5/1.0/0.5 Mbps ladder with the engine sized for every rung — the
+// vodserver -ladder configuration, which must get the same guarantee
+// although every stream here requests the top rung.
 func TestRampAwarePlanningClosesTheoremGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity-ramp scenario in -short mode")
 	}
-	lib := testLibrary(t, 1)
+	t.Run("uniform", func(t *testing.T) {
+		rampCloseGap(t, testLibrary(t, 1), nil)
+	})
+	t.Run("ladder", func(t *testing.T) {
+		lib, ladder := ladderLibrary(t)
+		rampCloseGap(t, lib, ladder)
+	})
+}
+
+// rampCloseGap drives the ramp over lib with the engine sized for rates
+// (nil: the uniform-rate config), every request at its title's rate.
+func rampCloseGap(t *testing.T, lib *catalog.Library, rates []si.BitRate) {
 	spec := diskmodel.Barracuda9LP()
 	n := core.DeriveN(spec.TransferRate, si.Mbps(1.5))
 
@@ -43,7 +59,13 @@ func TestRampAwarePlanningClosesTheoremGap(t *testing.T) {
 	gapSeen := 0
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := workload.Generate(workload.NewSchedule(horizon, []float64{rate}), lib, seed)
+		if rates != nil {
+			for i, r := range tr.Requests {
+				tr.Requests[i].Rate = lib.Video(r.Video).Rate
+			}
+		}
 		cfg := testConfig(t, Dynamic, sched.RoundRobin, lib, tr)
+		cfg.Rates = rates
 		cfg.ChurnSafeAdmission = true
 		cfg.DeadlineAwareBubbleUp = true
 

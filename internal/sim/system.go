@@ -40,8 +40,9 @@ type Config struct {
 	CR si.BitRate
 
 	// Rates lists additional per-stream consumption rates the run may
-	// carry (the catalog's ladder rungs, for multi-rate workloads).
-	// Empty keeps the paper's single-rate regime; see engine.Config.Rates.
+	// carry (the catalog's ladder rungs, for multi-rate workloads). Empty
+	// or [CR] is the paper's single-rate regime: the engine's one-rung
+	// case of the same per-rate sizing path (see engine.Config.Rates).
 	Rates []si.BitRate
 
 	// Downgrade enables downgrading admission: an arrival that does not
